@@ -11,7 +11,9 @@
 // hog tenant submits as fast as the socket allows while a compliant tenant
 // paces below the limit; over-limit traffic must bounce with RATE_LIMITED
 // (honest retry-after) and the compliant tenant's admission latency must
-// stay flat.
+// stay flat. The phase is a check, not only a report: the run exits 1 when
+// the hog is never rate-limited, when no rejection carries a retry-after,
+// or when the compliant tenant is rejected.
 //
 //   --workers=8 --requests=2000      phase-1 shape (per-worker request count)
 //   --rate=200 --burst=20            phase-2 per-tenant bucket
@@ -290,6 +292,7 @@ int Main(int argc, char** argv) {
               load.decision_p99_ms);
 
   BackpressureResult bp;
+  bool backpressure_held = true;
   if (!flags.GetBool("skip-backpressure")) {
     bench::Heading("per-tenant backpressure: hog vs compliant");
     bp = RunBackpressure(rate, burst, /*hog_requests=*/2000, seed);
@@ -301,6 +304,18 @@ int Main(int argc, char** argv) {
     std::printf("compliant: %lld admitted, %lld rejected, p99 %.3fms\n",
                 static_cast<long long>(bp.compliant_admitted),
                 static_cast<long long>(bp.compliant_rejected), bp.compliant_p99_ms);
+    const char* failure = nullptr;
+    if (bp.hog_rejected == 0) {
+      failure = "the hog was never rate-limited";
+    } else if (!bp.retry_after_seen) {
+      failure = "no RATE_LIMITED reply carried a retry-after";
+    } else if (bp.compliant_rejected > 0) {
+      failure = "the compliant tenant was rejected";
+    }
+    if (failure != nullptr) {
+      std::fprintf(stderr, "error: backpressure check failed: %s\n", failure);
+      backpressure_held = false;
+    }
   }
 
   if (flags.Has("json")) {
@@ -313,7 +328,7 @@ int Main(int argc, char** argv) {
       return 1;
     }
   }
-  return 0;
+  return backpressure_held ? 0 : 1;
 }
 
 }  // namespace

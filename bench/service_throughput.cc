@@ -128,7 +128,6 @@ FleetRow FleetReplay(int num_jobs, uint64_t seed, bool mixed = false) {
   config.warm_pool.max_parked = 256;
   config.warm_pool.max_idle_seconds = 600.0;
   config.seed = seed;
-  config.share_admission_evaluator = true;
   config.keep_job_artifacts = false;
   config.per_tenant_metrics = false;
 

@@ -41,8 +41,8 @@
 namespace rubberband {
 
 // Cache instrumentation, aggregatable across evaluators (the tuning
-// service sums per-job evaluators and per-replan evaluators into one
-// service-level metric).
+// service sums its per-shape admission evaluators and per-replan
+// evaluators into one service-level metric).
 struct PlannerCacheStats {
   int64_t plan_evaluations = 0;  // plans actually composed (memo misses)
   int64_t plan_memo_hits = 0;    // plans served from the memo

@@ -121,61 +121,44 @@ const ModelProfile& TuningService::ProfileFor(const WorkloadSpec& workload) {
   return it->second;
 }
 
-PlannedJob TuningService::PlanFor(Job& job, Seconds time_left) {
+PlannedJob TuningService::PlanFor(const JobRequest& request, Seconds time_left) {
   // ASHA jobs plan their envelope *statically*: the engine executes on a
   // fixed worker pool whose size the plan's peak chooses, so an elastic
-  // per-stage schedule would promise scaling the engine never does.
-  const bool asha = job.request.asha != nullptr;
-  if (config_.share_admission_evaluator) {
-    // Fleet mode: all jobs with this (workload, spec) shape plan through
-    // one evaluator — the first arrival pays the stage simulations, every
-    // later arrival and queued-job re-plan is memo hits. Deadlines differ
-    // per call, but the plan memo is keyed by allocation, not deadline, so
-    // the caches survive set_deadline (the same property the per-job
-    // dequeue re-plan has always relied on). ASHA jobs get their own key
-    // space: an envelope shaped like a plain SHA job must not inherit its
-    // memoized greedy plan.
-    const std::string key = (asha ? std::string("asha|") : std::string()) +
-                            job.request.workload.name + "|" + job.request.spec.ToString();
-    const bool at_arrival = time_left == job.request.deadline;
-    std::string plan_key;
+  // per-stage schedule would promise scaling the engine never does. They
+  // also get their own key space: an envelope shaped like a plain SHA job
+  // must not inherit its memoized greedy plan.
+  const bool asha = request.asha != nullptr;
+  const std::string key =
+      (asha ? "asha|" : "") + request.workload.name + "|" + request.spec.ToString();
+  // Arrival-time planning is a pure function of (shape, deadline), so the
+  // whole decision is memoized; a dequeue re-plan has less time left.
+  const bool at_arrival = time_left == request.deadline;
+  auto it = shape_planners_.find(key);
+  if (it == shape_planners_.end()) {
+    PlannerOptions options = config_.planner;
+    options.max_total_gpus = std::min(options.max_total_gpus, config_.capacity_gpus);
+    const PlannerInputs inputs{request.spec, ProfileFor(request.workload), config_.cloud,
+                               time_left};
+    it = shape_planners_
+             .emplace(key, ShapePlanner{std::make_unique<PlanEvaluator>(inputs, options), {}})
+             .first;
+  } else {
     if (at_arrival) {
-      // Arrival-time planning is a pure function of (shape, deadline):
-      // memoize the whole decision, not just the evaluator caches.
-      plan_key = key + "|" + std::to_string(time_left);
-      const auto cached = admission_plans_.find(plan_key);
-      if (cached != admission_plans_.end()) {
+      const auto cached = it->second.arrival_plans.find(time_left);
+      if (cached != it->second.arrival_plans.end()) {
         return cached->second;
       }
     }
-    auto it = shared_evaluators_.find(key);
-    if (it == shared_evaluators_.end()) {
-      PlannerOptions options = config_.planner;
-      options.max_total_gpus = std::min(options.max_total_gpus, config_.capacity_gpus);
-      const PlannerInputs inputs{job.request.spec, ProfileFor(job.request.workload), config_.cloud,
-                                 time_left};
-      it = shared_evaluators_.emplace(key, std::make_unique<PlanEvaluator>(inputs, options)).first;
-    } else {
-      it->second->set_deadline(time_left);
-    }
-    PlannedJob planned = asha ? PlanStatic(*it->second) : PlanGreedy(*it->second);
-    if (at_arrival) {
-      admission_plans_.emplace(std::move(plan_key), planned);
-    }
-    return planned;
+    // Estimates do not depend on the deadline, so every cache survives the
+    // move and the search is mostly memo hits.
+    it->second.evaluator->set_deadline(time_left);
   }
-  if (job.evaluator == nullptr) {
-    PlannerOptions options = config_.planner;
-    options.max_total_gpus = std::min(options.max_total_gpus, config_.capacity_gpus);
-    const PlannerInputs inputs{job.request.spec, ProfileFor(job.request.workload), config_.cloud,
-                               time_left};
-    job.evaluator = std::make_unique<PlanEvaluator>(inputs, options);
-  } else {
-    // Re-plan (dequeue after queueing): only the deadline moved, so the
-    // evaluator's caches stay valid and the search is mostly memo hits.
-    job.evaluator->set_deadline(time_left);
+  PlanEvaluator& evaluator = *it->second.evaluator;
+  PlannedJob planned = asha ? PlanStatic(evaluator) : PlanGreedy(evaluator);
+  if (at_arrival) {
+    it->second.arrival_plans.emplace(time_left, planned);
   }
-  return asha ? PlanStatic(*job.evaluator) : PlanGreedy(*job.evaluator);
+  return planned;
 }
 
 void TuningService::OnArrival(size_t index) {
@@ -186,7 +169,7 @@ void TuningService::OnArrival(size_t index) {
     return;  // withdrawn (live mode) before the arrival event fired
   }
   obs::Inc(h_.arrived);
-  job.planned = PlanFor(job, job.request.deadline);
+  job.planned = PlanFor(job.request, job.request.deadline);
   job.outcome.plan = job.planned.plan;
   if (!job.planned.feasible) {
     job.outcome.state = JobState::kRejectedInfeasible;
@@ -322,11 +305,9 @@ void TuningService::OnJobDone(size_t index, const ExecutionReport& report) {
   --running_;
   running_set_.erase(std::lower_bound(running_set_.begin(), running_set_.end(), index));
   shares_dirty_ = true;
-  if (config_.release_finished_executors) {
-    // This executor's Finish frame is on the stack right now; park it and
-    // free on a later event once nothing in flight can reach it.
-    retired_executors_.push_back(index);
-  }
+  // This executor's Finish frame is on the stack right now; park it and
+  // free on a later event once nothing in flight can reach it.
+  retired_executors_.push_back(index);
   PumpQueue();
   if (running_ == 0 && queue_.empty() && arrivals_outstanding_ == 0) {
     // The trace is fully served: stop paying for warm capacity.
@@ -359,7 +340,7 @@ void TuningService::PumpQueue() {
     const size_t index = queue_.front();
     Job& job = jobs_[index];
     const Seconds time_left = job.outcome.deadline_at - sim_.now();
-    PlannedJob replanned = PlanFor(job, time_left);
+    PlannedJob replanned = PlanFor(job.request, time_left);
     if (!replanned.feasible) {
       // Queueing consumed the job's slack; rejecting now is the service's
       // "never silently late" contract — the job is reported, not run.
@@ -580,7 +561,7 @@ ServiceReport TuningService::BuildReport(bool require_settled) {
   report.makespan = makespan_;
   Seconds total_wait = 0.0;
   int started = 0;
-  for (Job& job : jobs_) {
+  for (const Job& job : jobs_) {
     switch (job.outcome.state) {
       case JobState::kCompleted:
         ++report.completed;
@@ -622,12 +603,9 @@ ServiceReport TuningService::BuildReport(bool require_settled) {
     report.total_straggler_false_positives += job.outcome.straggler_false_positives;
     report.total_straggler_mitigation_seconds += job.outcome.straggler_mitigation_seconds;
     report.jobs.push_back(job.outcome);
-    if (job.evaluator != nullptr) {
-      report.planner_cache += job.evaluator->stats();
-    }
   }
-  for (const auto& entry : shared_evaluators_) {
-    report.planner_cache += entry.second->stats();
+  for (const auto& entry : shape_planners_) {
+    report.planner_cache += entry.second.evaluator->stats();
   }
   report.planner_cache += replan_cache_;
   report.mean_queue_wait = started > 0 ? total_wait / started : 0.0;

@@ -158,26 +158,20 @@ struct ServiceConfig {
   bool observe = false;
 
   // ---- Fleet-scale knobs (100k-job arrival traces) ---------------------
-  // All default off/keep: the small-N service behaves exactly as before.
+  // Both default on: the small-N service keeps every artifact and gauge.
 
-  // Draw admission/dequeue plans from one PlanEvaluator per distinct
-  // (workload, spec) shape instead of one evaluator per job: a fleet of
-  // identical tenants plans each shape once and re-plans queued jobs from
-  // warm memo caches. Identical plans come out either way (the evaluator is
-  // deterministic); only the cache sharing — and therefore the reported
-  // planner-cache hit rate — changes, which is why it is opt-in.
-  bool share_admission_evaluator = false;
   // Keep each job's raw event trace and timeline in its outcome. Off at
   // fleet scale: 100k retained traces dominate memory.
   bool keep_job_artifacts = true;
   // Publish the per-tenant cost gauge (tenant.<name>.cost_dollars). Off at
   // fleet scale: one registry entry per job name.
   bool per_tenant_metrics = true;
-  // Free each executor once its job completes and nothing in flight can
-  // reach it (Executor::Quiescent); freed lazily, never from inside the
-  // executor's own completion callback. Off only to keep executors
-  // inspectable post-run.
-  bool release_finished_executors = true;
+
+  // Has no effect: admission always plans each (workload, spec) shape
+  // through one shared PlanEvaluator. Still declared only because the
+  // benchmark harness assigns it; it goes in the benchmark-only change that
+  // drops those assignments.
+  bool share_admission_evaluator = false;
 };
 
 struct ServiceReport {
@@ -214,7 +208,7 @@ struct ServiceReport {
   int total_stragglers_quarantined = 0;
   int total_straggler_false_positives = 0;
   Seconds total_straggler_mitigation_seconds = 0.0;
-  // Aggregate planner-cache effectiveness: per-job admission/dequeue
+  // Aggregate planner-cache effectiveness: the per-shape admission/dequeue
   // evaluators plus every executor's fault-replan evaluators. The plan hit
   // rate is the fraction of plan estimates the service never had to
   // recompute.
@@ -315,10 +309,6 @@ class TuningService {
     // Exactly one of executor / asha_engine runs a started job; ASHA jobs
     // (request.asha set) execute rung events instead of gang barriers.
     std::unique_ptr<AshaEngine> asha_engine;
-    // One evaluator per job, created at admission and kept for the job's
-    // lifetime: dequeue re-planning only moves the deadline, so every stage
-    // simulation and plan memo entry from admission is reused verbatim.
-    std::unique_ptr<PlanEvaluator> evaluator;
     int share_cap = 0;  // current fair-share GPU cap
   };
 
@@ -349,7 +339,7 @@ class TuningService {
   // executor for an eager checkpoint.
   void RouteWarning(InstanceId id);
   const ModelProfile& ProfileFor(const WorkloadSpec& workload);
-  PlannedJob PlanFor(Job& job, Seconds time_left);
+  PlannedJob PlanFor(const JobRequest& request, Seconds time_left);
   int ReservationLimit() const;
 
   ServiceConfig config_;
@@ -386,15 +376,19 @@ class TuningService {
   // order the eager full scan visited them) plus the dirty flag.
   std::vector<size_t> running_set_;
   bool shares_dirty_ = false;
-  // Pooled admission evaluators, keyed by workload + spec shape
-  // (ServiceConfig::share_admission_evaluator).
-  std::map<std::string, std::unique_ptr<PlanEvaluator>> shared_evaluators_;
-  // Memoized arrival-time planning decisions: two jobs with the same shape
-  // and the same full deadline get the same plan, so a fleet of identical
-  // tenants runs the greedy planner once, not 100k times. Dequeue re-plans
-  // (time_left < deadline, unbounded distinct values) bypass this cache and
-  // go to the shared evaluator's warm memos instead.
-  std::map<std::string, PlannedJob> admission_plans_;
+  // Admission planning, one entry per job shape keyed by
+  // "[asha|]workload|spec": every job of that shape plans through the same
+  // evaluator, so only the first arrival pays the stage simulations and
+  // every later arrival or dequeue re-plan starts from warm memos.
+  struct ShapePlanner {
+    std::unique_ptr<PlanEvaluator> evaluator;
+    // Arrival-time decisions by full deadline: a fleet of identical tenants
+    // runs the greedy planner once, not once per job. Dequeue re-plans
+    // (unbounded distinct time_left values) bypass this and go to the
+    // evaluator's memos instead.
+    std::map<Seconds, PlannedJob> arrival_plans;
+  };
+  std::map<std::string, ShapePlanner> shape_planners_;
   // Completed jobs whose executors await the deferred free.
   std::vector<size_t> retired_executors_;
   // EventCallback heap fallbacks at construction (the sim.* injection

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/rubberband.h"
 
 namespace rubberband {
@@ -18,6 +20,11 @@ struct EndToEndCase {
   double deadline_minutes;
   uint64_t seed;
 };
+
+// gtest lists each case with a printout of its parameter; without this it
+// dumps the struct's bytes, which hold the address of `name` and padding, so
+// the listed test names would change from build to build.
+void PrintTo(const EndToEndCase& c, std::ostream* os) { *os << c.name; }
 
 class EndToEnd : public ::testing::TestWithParam<EndToEndCase> {
  protected:

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -205,12 +206,92 @@ TEST(Service, CapacityContentionQueuesJobsFifo) {
   EXPECT_GE(report.jobs[1].started_at, report.jobs[0].finished_at);
   EXPECT_GT(report.mean_queue_wait, 0.0);
 
-  // The dequeue re-plan runs on the same per-job evaluator as admission
+  // The dequeue re-plan runs on the same per-shape evaluator as admission
   // (only the deadline moved), so the service-level cache metric must show
   // plan estimates served from the memo.
   EXPECT_GT(report.planner_cache.plan_evaluations, 0);
   EXPECT_GT(report.planner_cache.plan_memo_hits, 0);
   EXPECT_GT(report.planner_cache.PlanHitRate(), 0.0);
+}
+
+using PlannerFn = PlannedJob (*)(PlanEvaluator&);
+
+// Admission shares one evaluator per (workload, spec) shape across jobs and
+// deadlines; every decision must still equal what a fresh, private
+// evaluator plans for that job with the same time left.
+void ExpectFreshPlan(const ServiceConfig& config, const TuningService& service, size_t index,
+                     Seconds time_left, PlannerFn planner) {
+  const JobRequest& request = service.request(index);
+  SCOPED_TRACE(request.name);
+  ProfilerOptions profiler = config.profiler;
+  profiler.seed = config.seed;
+  PlannerOptions options = config.planner;
+  options.max_total_gpus = std::min(options.max_total_gpus, config.capacity_gpus);
+  const ModelProfile model = ProfileWorkload(request.workload, profiler).profile;
+  PlanEvaluator evaluator(PlannerInputs{request.spec, model, config.cloud, time_left}, options);
+  const PlannedJob fresh = planner(evaluator);
+  const PlannedJob& planned = service.planned(index);
+  EXPECT_EQ(planned.plan, fresh.plan);
+  EXPECT_EQ(planned.feasible, fresh.feasible);
+  EXPECT_EQ(planned.planner, fresh.planner);
+  EXPECT_EQ(planned.estimate.jct_mean, fresh.estimate.jct_mean);
+  EXPECT_EQ(planned.estimate.jct_stddev, fresh.estimate.jct_stddev);
+  EXPECT_EQ(planned.estimate.cost_mean, fresh.estimate.cost_mean);
+  EXPECT_EQ(planned.estimate.cost_stddev_dollars, fresh.estimate.cost_stddev_dollars);
+}
+
+TEST(Service, ShapeSharedAdmissionPlansMatchAFreshEvaluator) {
+  {
+    SCOPED_TRACE("same shape, different deadlines");
+    const ServiceConfig config = BaseConfig();
+    TuningService service(config);
+    service.Submit(MakeJob("a", 0.0, 600.0));
+    service.Submit(MakeJob("b", 10.0, 1200.0));
+    service.Submit(MakeJob("c", 20.0, 600.0));  // arrival-plan memo hit
+    service.Run();
+    for (size_t i = 0; i < 3; ++i) {
+      ExpectFreshPlan(config, service, i, service.request(i).deadline, &PlanGreedy);
+    }
+    EXPECT_NE(service.planned(0).plan, service.planned(1).plan);
+  }
+  {
+    SCOPED_TRACE("queued job re-planned at dequeue");
+    ServiceConfig config = BaseConfig();
+    config.capacity_gpus = 8;
+    TuningService service(config);
+    service.Submit(MakeJob("first", 0.0, 900.0));
+    service.Submit(MakeJob("second", 10.0, 1900.0));
+    service.Run();
+    const JobOutcome& second = service.outcome(1);
+    ASSERT_EQ(second.state, JobState::kCompleted);
+    ASSERT_GT(second.queue_wait, 0.0);
+    ExpectFreshPlan(config, service, 0, 900.0, &PlanGreedy);
+    ExpectFreshPlan(config, service, 1, second.deadline_at - second.started_at, &PlanGreedy);
+  }
+  {
+    SCOPED_TRACE("asha envelope shaped like a co-submitted sha job");
+    const ServiceConfig config = BaseConfig();
+    TuningService service(config);
+    ExperimentRequest request;
+    request.ir.num_trials = 9;
+    request.ir.min_iters = 2;
+    request.ir.max_iters = 18;
+    request.ir.reduction_factor = 3;
+    request.workload = ResNet101Cifar10();
+    request.deadline = 1200.0;
+    request.name = "sha";
+    request.ir.scheduler = SchedulerKind::kSha;
+    const size_t sha = service.SubmitExperiment(request).at(0);
+    request.name = "asha";
+    request.ir.scheduler = SchedulerKind::kAsha;
+    const size_t asha = service.SubmitExperiment(request).at(0);
+    ASSERT_EQ(service.request(asha).spec.ToString(), service.request(sha).spec.ToString());
+    service.Run();
+    ExpectFreshPlan(config, service, sha, 1200.0, &PlanGreedy);
+    ExpectFreshPlan(config, service, asha, 1200.0, &PlanStatic);
+    // Otherwise the check could not tell a leaked greedy plan apart.
+    EXPECT_NE(service.planned(asha).plan, service.planned(sha).plan);
+  }
 }
 
 TEST(Service, QueuedJobWhoseDeadlineExpiresIsRejectedStaleNotLate) {

@@ -20,7 +20,10 @@
 #
 # tools/check.sh --server runs only the serving front door suite (ctest
 # -L server): framing, admission queue, rate limiter, wire protocol,
-# snapshot/restore, and the socket end-to-end tests.
+# snapshot/restore, and the socket end-to-end tests. Then a short
+# bench/server_load run, whose backpressure phase fails the tier unless
+# the hog tenant is rate-limited with a retry-after and the compliant
+# tenant is never rejected.
 #
 # tools/check.sh --sanitize rebuilds into build-asan/ with
 # -fsanitize=address,undefined and runs the suite under both sanitizers
@@ -86,6 +89,7 @@ fi
 build_dir=build
 budget_s=""
 chaos_bench=""
+server_bench=""
 perf_bench=""
 spot_bench=""
 cmake_args=()
@@ -110,6 +114,7 @@ elif [[ "${1:-}" == "--conformance" ]]; then
   ctest_args+=(-L conformance)
 elif [[ "${1:-}" == "--server" ]]; then
   ctest_args+=(-L server)
+  server_bench=1
 elif [[ "${1:-}" == "--chaos" ]]; then
   ctest_args+=(-R "Wal|Idempotency|ServerFault")
   chaos_bench=1
@@ -122,7 +127,7 @@ elif [[ "${1:-}" == "--spot" ]]; then
 elif [[ $# -eq 0 ]]; then
   budget_s="${RB_SMOKE_BUDGET_S:-300}"
 else
-  echo "usage: tools/check.sh [--conformance|--server|--sanitize|--tsan|--chaos|--perf|--all]" >&2
+  echo "usage: tools/check.sh [--conformance|--server|--sanitize|--tsan|--chaos|--perf|--spot|--all]" >&2
   exit 2
 fi
 
@@ -139,6 +144,10 @@ fi
 cd "$build_dir"
 test_start=$SECONDS
 ctest --output-on-failure "${ctest_args[@]}" -j
+if [[ -n "$server_bench" ]]; then
+  echo "=== bench/server_load: closed-loop load + backpressure check ==="
+  ./bench/server_load --requests=50
+fi
 if [[ -n "$chaos_bench" ]]; then
   echo "=== bench/chaos_server: seeded kill/restart byte-identity ==="
   ./bench/chaos_server --seeds=3 --jobs=12 --kill-rate=0.3
