@@ -15,7 +15,10 @@
 // the hog is never rate-limited, when no rejection carries a retry-after,
 // or when the compliant tenant is rejected.
 //
-//   --workers=8 --requests=2000      phase-1 shape (per-worker request count)
+//   --workers=8 --requests=2000      phase-1 shape (per-worker request count);
+//                                    phase 2's hog sends the same count of
+//                                    submits (more than --burst, or the check
+//                                    cannot pass) and the compliant tenant 1/20
 //   --rate=200 --burst=20            phase-2 per-tenant bucket
 //   --seed=11                        service RNG seed for both phases
 //   --json <path>                    write BENCH_server.json
@@ -295,7 +298,7 @@ int Main(int argc, char** argv) {
   bool backpressure_held = true;
   if (!flags.GetBool("skip-backpressure")) {
     bench::Heading("per-tenant backpressure: hog vs compliant");
-    bp = RunBackpressure(rate, burst, /*hog_requests=*/2000, seed);
+    bp = RunBackpressure(rate, burst, /*hog_requests=*/requests, seed);
     std::printf("hog:       %lld admitted, %lld rate-limited (retry-after %s), %lld other\n",
                 static_cast<long long>(bp.hog_admitted),
                 static_cast<long long>(bp.hog_rejected),

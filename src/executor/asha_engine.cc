@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace rubberband {
@@ -18,12 +19,7 @@ AshaEngine::AshaEngine(const AshaPlan& plan, const WorkloadSpec& workload,
       source_(nullptr),
       shared_(false),
       config_rng_(options.seed ^ 0xA5A5A5A5ULL) {
-  if (plan_.rung_budgets.empty()) {
-    throw std::invalid_argument("AshaPlan has no rungs");
-  }
-  rungs_.resize(plan_.rung_budgets.size());
-  rung_stats_.resize(plan_.rung_budgets.size());
-  space_ = SearchSpace(plan_.space);
+  Init();
 }
 
 AshaEngine::AshaEngine(const AshaPlan& plan, const WorkloadSpec& workload,
@@ -36,8 +32,20 @@ AshaEngine::AshaEngine(const AshaPlan& plan, const WorkloadSpec& workload,
       source_(context.source),
       shared_(true),
       config_rng_(options.seed ^ 0xA5A5A5A5ULL) {
+  Init();
+}
+
+void AshaEngine::Init() {
   if (plan_.rung_budgets.empty()) {
     throw std::invalid_argument("AshaPlan has no rungs");
+  }
+  if (options_.num_workers < 1) {
+    throw std::invalid_argument("ASHA needs at least one worker (got " +
+                                std::to_string(options_.num_workers) + ")");
+  }
+  if (plan_.gpus_per_trial < 1) {
+    throw std::invalid_argument("ASHA needs at least one GPU per trial (got " +
+                                std::to_string(plan_.gpus_per_trial) + ")");
   }
   rungs_.resize(plan_.rung_budgets.size());
   rung_stats_.resize(plan_.rung_budgets.size());
@@ -72,9 +80,9 @@ void AshaEngine::Provision() {
   requested_slots_ = instances;
   pending_slots_ = instances;
   if (!shared_) {
-    // Legacy-identical sequencing: request the pool, then start every
-    // worker at the mean ready latency (ASHA assumes a fixed cluster that
-    // exists for the whole run).
+    // Standalone sequencing, pinned by the frozen oracle golden: request
+    // the pool, then start every worker at the mean ready latency (ASHA
+    // assumes a fixed cluster that exists for the whole run).
     cloud_.RequestInstances(instances, workload_.dataset.size_gb, [this](InstanceId id) {
       --pending_slots_;
       owned_instances_.insert(id);

@@ -1,7 +1,6 @@
-// Compiled-ASHA execution engine: asynchronous successive halving as rung
-// events on the DES kernel, integrated with the planner/executor/service
-// stack (unlike the deprecated src/executor/asha.cc side-car, which owns a
-// private simulation and never flows through either).
+// Compiled-ASHA execution engine: asynchronous successive halving (Li et
+// al., the paper's primary related system, section 7) as rung events on the
+// DES kernel, integrated with the planner/executor/service stack.
 //
 // A fixed pool of worker gangs loops with no barriers: each freed worker
 // takes the highest-rung promotable result (a trial whose accuracy placed
@@ -12,9 +11,12 @@
 //     outstanding, so an ASHA job terminates like any staged job and can
 //     carry a deadline through admission control.
 //   * time-limited (num_trials == 0, AshaEngineOptions::time_limit > 0) —
-//     the legacy baseline mode, event-for-event identical to RunAsha()
-//     (same RNG streams, same worker start, same promotion scan order);
-//     Compile.AshaOracleParity holds the two to identical promotion logs.
+//     the baseline RubberBand argues against (`rubberband asha`): always
+//     sampling keeps the fixed cluster busy, but under a time constraint
+//     most of that spending goes to configurations that are never trained
+//     far enough to win (the HyperSched observation the paper cites).
+//     Compile.AshaOracleParity pins this mode to a frozen golden of the
+//     retired side-car implementation (tests/golden/asha_oracle_seed11.json).
 //
 // Like Executor, the engine runs standalone (owns its simulation + cloud)
 // or shared (joins a SharedClusterContext: the service's timeline, billing
@@ -34,11 +36,25 @@
 #include <set>
 #include <vector>
 
-#include "src/executor/asha.h"
 #include "src/executor/executor.h"
 #include "src/spec/compile.h"
 
 namespace rubberband {
+
+struct AshaRungStats {
+  int completed = 0;  // results recorded at this rung
+  int promoted = 0;   // results promoted to the next rung
+};
+
+// One promotion decision: `trial` placed in the top 1/eta of rung `rung`
+// and was dispatched to rung + 1. The ordered log is the scheduler's full
+// decision trace — two ASHA runs agree iff their logs agree.
+struct AshaPromotion {
+  int rung = 0;
+  int trial = -1;
+
+  bool operator==(const AshaPromotion&) const = default;
+};
 
 struct AshaEngineOptions {
   int num_workers = 8;      // concurrent worker gangs (fixed pool)
@@ -49,6 +65,9 @@ struct AshaEngineOptions {
 
 class AshaEngine {
  public:
+  // Both constructors throw std::invalid_argument for an empty rung ladder,
+  // num_workers < 1, or plan.gpus_per_trial < 1.
+  //
   // Standalone: owns a fresh simulation and cloud; use Run().
   AshaEngine(const AshaPlan& plan, const WorkloadSpec& workload,
              const CloudProfile& cloud_profile, const AshaEngineOptions& options = {});
@@ -77,7 +96,7 @@ class AshaEngine {
   bool finished() const { return finished_; }
   bool Quiescent() const { return finished_ && pending_slots_ == 0; }
 
-  // Oracle-parity introspection (valid once finished).
+  // Decision log and rung counters (valid once finished).
   const std::vector<AshaPromotion>& promotions() const { return promotions_; }
   const std::vector<AshaRungStats>& rung_stats() const { return rung_stats_; }
   int configurations_sampled() const { return configurations_sampled_; }
@@ -94,6 +113,7 @@ class AshaEngine {
     int rung = 0;
   };
 
+  void Init();  // validates the plan and options, sizes the rungs
   void Provision();
   void StartWorkers(int count);
   // ASHA's get_job: highest-rung promotable first, then a fresh sample

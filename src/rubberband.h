@@ -29,7 +29,6 @@
 #include "src/dag/builder.h"
 #include "src/dag/node.h"
 #include "src/dag/simulate.h"
-#include "src/executor/asha.h"
 #include "src/executor/asha_engine.h"
 #include "src/executor/executor.h"
 #include "src/executor/run_compiled.h"
@@ -43,7 +42,6 @@
 #include "src/planner/compiled.h"
 #include "src/planner/plan.h"
 #include "src/planner/planner.h"
-#include "src/planner/multi_job.h"
 #include "src/planner/render.h"
 #include "src/service/fair_share.h"
 #include "src/service/tuning_service.h"

@@ -67,7 +67,7 @@ struct AshaPlan {
   int reduction_factor = 3;
   int gpus_per_trial = 1;
   // Sample cap: the engine stops sampling new configurations after this
-  // many. 0 = unbounded (the legacy time-limited baseline mode).
+  // many. 0 = unbounded (the time-limited baseline mode of `rubberband asha`).
   int num_trials = 0;
   SearchSpace::Options space;
 };

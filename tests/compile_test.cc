@@ -1,16 +1,19 @@
 // Plan-compiler tests: lowering shape for every scheduler kind, the
 // bit-identity regression (compiled-SHA versus the legacy hard-coded path:
 // same DAG arenas, same trace bytes, same report), and the ASHA oracle —
-// the deprecated src/executor/asha.cc side-car versus compiled-ASHA on the
-// engine, held to identical promotion logs and final-trial selection.
+// compiled-ASHA on the engine held to a frozen golden of the retired
+// side-car's run: identical promotion log and final-trial selection.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/rubberband.h"
+#include "tests/golden_file.h"
 
 namespace rubberband {
 namespace {
@@ -172,20 +175,43 @@ TEST(Compile, PlanCompiledHyperbandAggregatesAcrossBrackets) {
   const WorkloadSpec workload = ResNet101Cifar10();
   const ModelProfile model = ProfileWorkload(workload).profile;
   const CloudProfile cloud;
-  const CompiledPlannedExperiment planned =
-      PlanCompiledExperiment(compiled, model, cloud, Minutes(45));
 
-  ASSERT_EQ(planned.units.size(), compiled.units.size());
-  EXPECT_TRUE(planned.feasible);
-  Seconds slowest = 0.0;
-  Money total_cost;
-  for (const PlannedJob& unit : planned.units) {
-    EXPECT_TRUE(unit.feasible);
-    slowest = std::max(slowest, unit.estimate.jct_mean);
-    total_cost += unit.estimate.cost_mean;
+  // Brackets run concurrently under one shared deadline, tightest first.
+  const std::vector<Seconds> deadlines = {10.0, Minutes(25), Minutes(45), Hours(1), Hours(2)};
+  Money tighter_cost;
+  for (size_t d = 0; d < deadlines.size(); ++d) {
+    SCOPED_TRACE("deadline " + std::to_string(deadlines[d]) + " s");
+    const CompiledPlannedExperiment planned =
+        PlanCompiledExperiment(compiled, model, cloud, deadlines[d]);
+
+    // Every bracket is planned, even when the experiment cannot make it.
+    ASSERT_EQ(planned.units.size(), compiled.units.size());
+    Seconds slowest = 0.0;
+    Money total_cost;
+    bool all_feasible = true;
+    for (const PlannedJob& unit : planned.units) {
+      all_feasible = all_feasible && unit.feasible;
+      slowest = std::max(slowest, unit.estimate.jct_mean);
+      total_cost += unit.estimate.cost_mean;
+    }
+    EXPECT_EQ(planned.feasible, all_feasible);
+    if (planned.feasible) {
+      EXPECT_LE(planned.EstimatedJct(), deadlines[d]);
+    }
+    EXPECT_DOUBLE_EQ(planned.EstimatedJct(), slowest);
+    EXPECT_EQ(planned.EstimatedCost().micros(), total_cost.micros());
+    if (deadlines[d] == 10.0) {
+      EXPECT_FALSE(planned.feasible);  // no bracket finishes in 10 s
+    } else if (deadlines[d] == Minutes(45)) {
+      EXPECT_TRUE(planned.feasible);
+    }
+
+    // Loosening the shared deadline never raises the estimated cost.
+    if (d > 0) {
+      EXPECT_LE(total_cost.micros(), tighter_cost.micros());
+    }
+    tighter_cost = total_cost;
   }
-  EXPECT_DOUBLE_EQ(planned.EstimatedJct(), slowest);
-  EXPECT_EQ(planned.EstimatedCost().micros(), total_cost.micros());
 }
 
 TEST(Compile, PlanCompiledAshaSizesTheWorkerPool) {
@@ -277,53 +303,78 @@ TEST(Compile, ShaBitIdentityWithLegacyPath) {
   EXPECT_EQ(unit.trace.ToCsv(), legacy.trace.ToCsv());
 }
 
-// ---- ASHA oracle: deprecated side-car versus the compiled engine -----------
+// ---- ASHA oracle: the engine versus the retired side-car's frozen run -----
+//
+// tests/golden/asha_oracle_seed11.json was written by the side-car ASHA
+// executor (a private simulation with the same promotion rule) before it
+// was deleted. The engine in time-limited mode must reproduce it field for
+// field; regenerate with RB_UPDATE_GOLDEN=1 only for an intentional change.
+
+std::string GoldenNumber(double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+  return buffer;
+}
+
+// Every field the side-car reported, doubles at round-trip precision, so a
+// JSON-value comparison is an exact one.
+std::string RenderAshaOracle(const std::vector<AshaPromotion>& promotions,
+                             const std::vector<AshaRungStats>& rungs, int configurations,
+                             Seconds jct, double best_accuracy,
+                             const HyperparameterConfig& best_config, int64_t best_cum_iters,
+                             int64_t compute_cost_micros) {
+  std::ostringstream os;
+  os << "{\n";
+  os << "  \"configurations_sampled\": " << configurations << ",\n";
+  os << "  \"jct_s\": " << GoldenNumber(jct) << ",\n";
+  os << "  \"best_accuracy\": " << GoldenNumber(best_accuracy) << ",\n";
+  os << "  \"best_config\": {\"id\": " << best_config.id
+     << ", \"learning_rate\": " << GoldenNumber(best_config.learning_rate)
+     << ", \"weight_decay\": " << GoldenNumber(best_config.weight_decay)
+     << ", \"momentum\": " << GoldenNumber(best_config.momentum)
+     << ", \"quality\": " << GoldenNumber(best_config.quality) << "},\n";
+  os << "  \"best_config_cum_iters\": " << best_cum_iters << ",\n";
+  os << "  \"compute_cost_micros\": " << compute_cost_micros << ",\n";
+  os << "  \"rungs\": [\n";
+  for (size_t r = 0; r < rungs.size(); ++r) {
+    os << "    {\"completed\": " << rungs[r].completed << ", \"promoted\": " << rungs[r].promoted
+       << "}" << (r + 1 < rungs.size() ? "," : "") << "\n";
+  }
+  os << "  ],\n";
+  os << "  \"promotions\": [\n";
+  for (size_t i = 0; i < promotions.size(); ++i) {
+    os << "    {\"rung\": " << promotions[i].rung << ", \"trial\": " << promotions[i].trial << "}"
+       << (i + 1 < promotions.size() ? "," : "") << "\n";
+  }
+  os << "  ]\n";
+  os << "}\n";
+  return os.str();
+}
 
 TEST(Compile, AshaOracleParity) {
-  const WorkloadSpec workload = ResNet101Cifar10();
-  const CloudProfile cloud;
-
-  AshaOptions legacy_options;
-  legacy_options.min_iters = 2;
-  legacy_options.max_iters = 18;
-  legacy_options.reduction_factor = 3;
-  legacy_options.gpus_per_trial = 1;
-  legacy_options.num_workers = 4;
-  legacy_options.time_limit = Hours(1);
-  legacy_options.seed = 11;
-  const AshaReport legacy = RunAsha(workload, cloud, legacy_options);
-
-  // The same promotion rule, compiled: rung ladder from the IR, engine in
-  // time-limited parity mode (num_trials = 0).
+  // The side-car's scenario, compiled: rung ladder from the IR, engine in
+  // time-limited mode (num_trials = 0).
   ExperimentIR ir = ShaIr(1, 2, 18, 3);
   ir.scheduler = SchedulerKind::kAsha;
   const CompiledPlan compiled = CompileExperiment(ir);
   AshaPlan plan = *compiled.asha;
-  plan.num_trials = 0;  // parity mode: sample to the time limit, like RunAsha
+  plan.num_trials = 0;  // sample to the time limit
 
   AshaEngineOptions engine_options;
   engine_options.num_workers = 4;
   engine_options.time_limit = Hours(1);
   engine_options.seed = 11;
-  AshaEngine engine(plan, workload, cloud, engine_options);
+  AshaEngine engine(plan, ResNet101Cifar10(), CloudProfile{}, engine_options);
   const ExecutionReport report = engine.Run();
 
-  // Identical decision trace: the ordered promotion log is the scheduler's
-  // complete output — two implementations agree iff their logs agree.
-  EXPECT_EQ(engine.promotions(), legacy.promotions);
-  EXPECT_EQ(engine.configurations_sampled(), legacy.configurations_sampled);
-  ASSERT_EQ(engine.rung_stats().size(), legacy.rungs.size());
-  for (size_t r = 0; r < legacy.rungs.size(); ++r) {
-    EXPECT_EQ(engine.rung_stats()[r].completed, legacy.rungs[r].completed) << "rung " << r;
-    EXPECT_EQ(engine.rung_stats()[r].promoted, legacy.rungs[r].promoted) << "rung " << r;
-  }
-
-  // Identical final-trial selection and outcome.
-  EXPECT_EQ(report.jct, legacy.jct);
-  EXPECT_EQ(report.best_accuracy, legacy.best_accuracy);
-  ExpectSameConfig(report.best_config, legacy.best_config);
-  EXPECT_EQ(engine.best_config_cum_iters(), legacy.best_config_cum_iters);
-  EXPECT_EQ(report.cost.compute.micros(), legacy.cost.compute.micros());
+  // The ordered promotion log is the scheduler's complete decision trace —
+  // two implementations agree iff their logs agree — plus the final-trial
+  // selection and outcome.
+  CompareAgainstGolden(
+      RenderAshaOracle(engine.promotions(), engine.rung_stats(), engine.configurations_sampled(),
+                       report.jct, report.best_accuracy, report.best_config,
+                       engine.best_config_cum_iters(), report.cost.compute.micros()),
+      "asha_oracle_seed11.json");
 }
 
 TEST(Compile, AshaBoundedModeDrainsAtTheTrialBudget) {

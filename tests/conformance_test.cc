@@ -49,6 +49,11 @@ struct ConformanceCase {
   }
 };
 
+// gtest lists each case with a printout of its parameter; without this it
+// dumps the struct's bytes, which hold the address of `planner`, so the
+// listed test names would change from build to build.
+void PrintTo(const ConformanceCase& c, std::ostream* os) { *os << c.Name(); }
+
 std::vector<ConformanceCase> AllCases() {
   std::vector<ConformanceCase> cases;
   for (const char* planner : {"static", "naive", "greedy"}) {

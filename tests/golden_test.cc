@@ -8,33 +8,14 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "src/obs/json.h"
 #include "src/rubberband.h"
-
-#ifndef RB_TEST_GOLDEN_DIR
-#error "RB_TEST_GOLDEN_DIR must point at tests/golden"
-#endif
+#include "tests/golden_file.h"
 
 namespace rubberband {
 namespace {
-
-std::string GoldenPath(const std::string& name) {
-  return std::string(RB_TEST_GOLDEN_DIR) + "/" + name;
-}
-
-std::string ReadFileOrEmpty(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
-bool UpdateGoldens() { return std::getenv("RB_UPDATE_GOLDEN") != nullptr; }
 
 // The one fixed-seed scenario both goldens are generated from. Everything
 // here is deterministic: seeded planner, seeded executor, simulated clock.
@@ -48,28 +29,6 @@ ExecutionReport GoldenRun() {
   options.seed = 3;
   options.observe = true;
   return ExecutePlan(spec, AllocationPlan({8, 8, 8}), workload, cloud, options);
-}
-
-void CompareAgainstGolden(const std::string& actual, const std::string& golden_name) {
-  const std::string path = GoldenPath(golden_name);
-  if (UpdateGoldens()) {
-    std::ofstream out(path, std::ios::binary);
-    out << actual;
-    ASSERT_TRUE(out.good()) << "failed to update " << path;
-    GTEST_SKIP() << "updated " << path;
-  }
-  const std::string golden = ReadFileOrEmpty(path);
-  ASSERT_FALSE(golden.empty()) << path
-                               << " is missing; regenerate with RB_UPDATE_GOLDEN=1";
-  // Schema-aware comparison: parse both sides and compare values. A
-  // mismatch falls back to the raw strings so the diff is visible.
-  const JsonValue actual_doc = JsonValue::Parse(actual);
-  const JsonValue golden_doc = JsonValue::Parse(golden);
-  if (actual_doc != golden_doc) {
-    EXPECT_EQ(actual, golden) << golden_name
-                              << " drifted from its golden; if intentional, regenerate with "
-                                 "RB_UPDATE_GOLDEN=1";
-  }
 }
 
 TEST(Golden, ChromeTraceMatchesCheckedInArtifact) {

@@ -106,22 +106,29 @@ TEST(Integration, AccuracyComparableAcrossPolicies) {
   EXPECT_NEAR(wide.best_accuracy, narrow.best_accuracy, 0.03);
 }
 
-TEST(Integration, HyperbandMultiJobPlansEveryBracket) {
-  const std::vector<ExperimentSpec> brackets = MakeHyperband({16, 4});
+TEST(Integration, HyperbandPlansAndRunsEveryCompiledBracket) {
+  // Hyperband as a multi-job (paper Figure 6): one SHA bracket per
+  // aggressiveness level, each with its own elastic plan, all running
+  // concurrently under one shared deadline.
+  ExperimentIR ir;
+  ir.scheduler = SchedulerKind::kHyperband;
+  ir.max_iters = 16;
+  ir.reduction_factor = 4;
+  const CompiledPlan compiled = CompileExperiment(ir);
   const WorkloadSpec workload = ResNet50(Cifar10(), 512);
   const ModelProfile profile = ProfileWorkload(workload).profile;
   CloudProfile cloud;
   cloud.instance = P3_8xlarge();
 
-  Money total;
-  for (const ExperimentSpec& bracket : brackets) {
-    const PlannedJob job = CompilePlan(bracket, profile, cloud, Hours(2));
-    ASSERT_TRUE(job.feasible);
-    total += job.estimate.cost_mean;
-    const ExecutionReport report = Execute(bracket, job.plan, workload, cloud);
-    EXPECT_GT(report.best_accuracy, 0.2);
+  const CompiledPlannedExperiment planned =
+      PlanCompiledExperiment(compiled, profile, cloud, Hours(2));
+  ASSERT_TRUE(planned.feasible);
+  const CompiledExecutionReport report = ExecuteCompiled(compiled, planned, workload, cloud);
+  ASSERT_EQ(report.units.size(), compiled.units.size());
+  for (const ExecutionReport& bracket : report.units) {
+    EXPECT_GT(bracket.best_accuracy, 0.2);
   }
-  EXPECT_GT(total.dollars(), 0.0);
+  EXPECT_GT(planned.EstimatedCost().dollars(), 0.0);
 }
 
 TEST(Integration, PerFunctionPlansAreNoMoreExpensiveThanPerInstance) {

@@ -12,36 +12,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/obs/json.h"
 #include "src/rubberband.h"
-
-#ifndef RB_TEST_GOLDEN_DIR
-#error "RB_TEST_GOLDEN_DIR must point at tests/golden"
-#endif
+#include "tests/golden_file.h"
 
 namespace rubberband {
 namespace {
 
 constexpr Seconds Minutes(double m) { return m * 60.0; }
-
-std::string SchedulerGoldenPath(const std::string& name) {
-  return std::string(RB_TEST_GOLDEN_DIR) + "/" + name;
-}
-
-std::string ReadGoldenOrEmpty(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
-bool UpdateSchedulerGoldens() { return std::getenv("RB_UPDATE_GOLDEN") != nullptr; }
 
 ExperimentIR IrFor(SchedulerKind kind) {
   ExperimentIR ir;
@@ -217,24 +198,7 @@ std::string RenderSchedulerGolden() {
 }
 
 TEST(SchedulerGolden, CompiledPlansMatchCheckedInArtifact) {
-  const std::string actual = RenderSchedulerGolden();
-  const std::string path = SchedulerGoldenPath("compiled_plans.json");
-  if (UpdateSchedulerGoldens()) {
-    std::ofstream out(path, std::ios::binary);
-    out << actual;
-    ASSERT_TRUE(out.good()) << "failed to update " << path;
-    GTEST_SKIP() << "updated " << path;
-  }
-  const std::string golden = ReadGoldenOrEmpty(path);
-  ASSERT_FALSE(golden.empty()) << path
-                               << " is missing; regenerate with RB_UPDATE_GOLDEN=1";
-  const JsonValue actual_doc = JsonValue::Parse(actual);
-  const JsonValue golden_doc = JsonValue::Parse(golden);
-  if (actual_doc != golden_doc) {
-    EXPECT_EQ(actual, golden)
-        << "compiled_plans.json drifted from its golden; if intentional, regenerate "
-           "with RB_UPDATE_GOLDEN=1";
-  }
+  CompareAgainstGolden(RenderSchedulerGolden(), "compiled_plans.json");
 }
 
 }  // namespace
